@@ -36,7 +36,10 @@
 #      one engine must resume under the other and byte-match an
 #      uninterrupted run, degradation.csv included,
 #  10. docs consistency: every `--flag` the built CLI prints in its
-#      --help output must appear in README.md, and every
+#      --help output must appear in README.md, every `--flag` in a
+#      README CLI reference row (`| `<command>` | ...`) must appear in
+#      the --help output (a deleted flag cannot linger in the docs), and
+#      every
 #      `docs/FORMATS.md §N` / `FORMATS.md section N` reference made
 #      from code or data files must resolve to a `## N.` heading in
 #      docs/FORMATS.md (runs as stage 1b, right after the build),
@@ -93,6 +96,20 @@ while IFS= read -r flag; do
     missing=1
   }
 done < "$DOCS_TMP/flags.txt"
+# The reverse direction: README's CLI reference rows may document only
+# flags the built CLI still prints.
+grep -E '^\| `[a-z][a-z-]*( [a-z]+)?` \|' README.md \
+  | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u > "$DOCS_TMP/readme_flags.txt"
+if [ ! -s "$DOCS_TMP/readme_flags.txt" ]; then
+  echo "README.md has no CLI reference rows with flags" >&2
+  exit 1
+fi
+while IFS= read -r flag; do
+  grep -qxF -- "$flag" "$DOCS_TMP/flags.txt" || {
+    echo "flag $flag in README.md's CLI reference is not in --help" >&2
+    missing=1
+  }
+done < "$DOCS_TMP/readme_flags.txt"
 # Every FORMATS.md section referenced from code/tests/bench/tools/data
 # must exist as a "## N." heading — references may not outlive the spec.
 grep -rhoE 'FORMATS\.md (§|section )[0-9]+' src tests bench tools \

@@ -1,10 +1,11 @@
-// Rank-flattened Gao–Rexford propagation for Internet-scale graphs.
+// Rank-flattened Gao–Rexford propagation: the production engine.
 //
 // The demand-driven fixed point in routing_system.cpp keeps a full
 // Adj-RIB-In per AS — exact, but allocation-heavy: per-route vectors,
-// per-AS hash maps, a work queue. At CAIDA magnitude (~75k ASes) that
-// costs more in allocator traffic than in routing logic. This module is
-// the arena/SoA replacement for large worlds:
+// per-AS hash maps, a work queue — so it costs more in allocator
+// traffic than in routing logic at every world size, from ~600 ASes to
+// CAIDA magnitude (~75k ASes). This module is its arena/SoA
+// replacement; the fixed point remains only as fallback and reference:
 //
 //   * FlatGraph — the AS graph compiled to index space: CSR neighbor
 //     lists split by relationship class, plus a provider rank per AS

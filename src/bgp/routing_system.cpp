@@ -40,14 +40,16 @@ RoutingSystem::RoutingSystem(const RoutingSystem& other,
       effective_bindings_(other.effective_bindings_),
       announcements_(other.announcements_),
       cache_(other.cache_),
-      engine_(other.engine_) {}
+      engine_(other.engine_),
+      flat_certified_(other.flat_certified_),
+      flat_fallbacks_(other.flat_fallbacks_) {}
 
 RoutingSystem::~RoutingSystem() = default;
 
 void RoutingSystem::set_propagation_engine(PropagationEngine engine) {
   require_mutable("set_propagation_engine");
   engine_ = engine;
-  flat_.reset();  // kAuto vs kFlat share nothing worth keeping warm
+  flat_.reset();  // the fixed point reads none of the compiled state
 }
 
 void RoutingSystem::require_mutable(const char* op) const {
@@ -480,9 +482,7 @@ void RoutingSystem::invalidate_all() {
 }
 
 RouteMap RoutingSystem::compute_routes(const net::Ipv4Prefix& prefix) const {
-  if (engine_ == PropagationEngine::kFlat ||
-      (engine_ == PropagationEngine::kAuto &&
-       graph_.size() >= kFlatAutoThreshold)) {
+  if (engine_ == PropagationEngine::kFlat) {
     std::optional<RouteMap> flat_routes = compute_routes_flat(prefix);
     if (flat_routes.has_value()) return *std::move(flat_routes);
     // Declined (customer cycle / sweep cap): fall through to the exact

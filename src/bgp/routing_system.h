@@ -6,10 +6,13 @@
 // prefixes and toward the prefixes hosting vVPs/measurement clients, so
 // the engine never materializes the full N×P routing state.
 //
-// The per-prefix fixed point keeps full Adj-RIB-In state during
-// computation (so withdrawals/replacements are handled exactly, not
-// monotonically) and then compacts the result into 16-byte entries;
-// AS paths are reconstructed on demand by walking next hops.
+// Each prefix converges on the rank-flattened engine
+// (bgp/flat_propagation.h). The per-prefix Adj-RIB-In fixed point —
+// full per-neighbor state, so withdrawals/replacements are handled
+// exactly, not monotonically — is the fallback for prefixes the flat
+// engine cannot certify and the reference it is tested against. Either
+// way the result is compacted into 16-byte entries; AS paths are
+// reconstructed on demand by walking next hops.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +34,16 @@ namespace flat {
 struct FlatState;
 }
 
-/// Which propagation engine compute_routes() uses. Both produce
-/// bit-identical RouteMaps (the equivalence suite in
-/// tests/test_flat_propagation.cpp gates this); they differ only in
-/// constant factors. kAuto picks per world size: the Adj-RIB-In fixed
-/// point below kFlatAutoThreshold ASes, the rank-flattened arena engine
-/// (bgp/flat_propagation.h) at or above it. The flat engine falls back
-/// to the fixed point per prefix whenever it cannot certify exactness
-/// (customer-provider cycle, sweep cap).
-enum class PropagationEngine { kAuto, kFixedPoint, kFlat };
+/// Which propagation engine compute_routes() uses. kFlat, the default
+/// and the one production engine, is the rank-flattened arena engine
+/// (bgp/flat_propagation.h) for every world size; per prefix it falls
+/// back to the Adj-RIB-In fixed point whenever it cannot certify
+/// exactness (customer-provider cycle, sweep cap). kFixedPoint forces
+/// the fixed point for every prefix: it is the reference the
+/// equivalence tests (tests/test_flat_propagation.cpp, the golden
+/// round) and bench_scale compare the flat engine against. Both produce
+/// bit-identical RouteMaps.
+enum class PropagationEngine { kFlat, kFixedPoint };
 
 /// Compact converged-route entry for one AS (see routes_for()).
 struct RouteEntry {
@@ -69,21 +73,17 @@ class RoutingSystem {
 
   const topology::AsGraph& graph() const noexcept { return graph_; }
 
-  /// Select the propagation engine (default kAuto). Purely a
-  /// performance choice — cached routes stay valid across a switch.
+  /// Select the propagation engine (default kFlat; kFixedPoint is the
+  /// test/bench reference). Purely a performance choice — cached routes
+  /// stay valid across a switch.
   void set_propagation_engine(PropagationEngine engine);
   PropagationEngine propagation_engine() const noexcept { return engine_; }
-
-  /// World size at which kAuto switches to the flat engine. Above it
-  /// the Adj-RIB-In allocator traffic dominates; below it the flat
-  /// arrays' O(n)-per-prefix sweeps would touch far more ASes than
-  /// routes exist.
-  static constexpr std::size_t kFlatAutoThreshold = 8192;
 
   /// Diagnostics: prefixes the flat engine computed (certified) vs
   /// handed back to the fixed point (cycle / sweep cap). Lets tests
   /// prove the flat path genuinely ran rather than silently falling
-  /// back on every prefix.
+  /// back on every prefix. A clone inherits both counts together with
+  /// the cache they describe.
   std::uint64_t flat_certified_count() const noexcept {
     return flat_certified_;
   }
@@ -291,7 +291,7 @@ class RoutingSystem {
 
   net::PrefixTrie<std::vector<Asn>> announcements_;
   std::unordered_map<net::Ipv4Prefix, RouteMap> cache_;
-  PropagationEngine engine_ = PropagationEngine::kAuto;
+  PropagationEngine engine_ = PropagationEngine::kFlat;
   // Compiled flat-engine state (graph CSR + rank order + policy
   // mirrors + scratch arena). Rebuilt lazily after set_policy /
   // set_effective_views / invalidate_all; VRP installs keep it — the

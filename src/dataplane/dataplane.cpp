@@ -39,6 +39,7 @@ Host* DataPlane::add_host(Asn asn, HostConfig config) {
   Host* raw = host.get();
   hosts_.emplace(key, std::move(host));
   host_as_.emplace(addr.value(), asn);
+  deliveries_.clear();
   return raw;
 }
 
@@ -59,6 +60,7 @@ Asn DataPlane::as_of(net::Ipv4Address addr) const noexcept {
 
 void DataPlane::set_filter(Asn asn, FilterConfig filter) {
   filters_[asn] = filter;
+  deliveries_.clear();
 }
 
 const FilterConfig& DataPlane::filter(Asn asn) const noexcept {
@@ -205,14 +207,13 @@ void DataPlane::send(Asn from_as, const net::Packet& packet) {
     return;
   }
 
-  PathResult path = evaluate(from_as, packet);
+  const Delivery path = deliver(from_as, packet);
   if (!path.delivered) {
     count_drop(path.reason);
     return;
   }
 
-  const TimeUs latency =
-      hop_latency_ * static_cast<TimeUs>(path.hops.size()) + 100;
+  const TimeUs latency = hop_latency_ * static_cast<TimeUs>(path.hops) + 100;
   const net::Ipv4Address dst = packet.ip.destination;
   sim_.after(latency, [this, dst, packet] {
     Host* h = host(dst);
@@ -223,6 +224,20 @@ void DataPlane::send(Asn from_as, const net::Packet& packet) {
     ++packets_delivered_;
     h->receive(packet);
   });
+}
+
+DataPlane::Delivery DataPlane::deliver(Asn from_as, const net::Packet& packet) {
+  const auto evaluated = [&] {
+    const PathResult path = evaluate(from_as, packet);
+    return Delivery{path.delivered, path.reason,
+                    static_cast<std::uint32_t>(path.hops.size())};
+  };
+  if (!routing_.frozen()) return evaluated();
+  const Flow flow{from_as, packet.ip.source.value(),
+                  packet.ip.destination.value()};
+  const auto it = deliveries_.find(flow);
+  if (it != deliveries_.end()) return it->second;
+  return deliveries_.emplace(flow, evaluated()).first->second;
 }
 
 std::uint64_t DataPlane::packets_dropped(DropReason r) const noexcept {

@@ -162,6 +162,18 @@ class DataPlane {
 
   void count_drop(DropReason r) { ++drops_[static_cast<int>(r)]; }
 
+  /// What send() needs of evaluate(): the verdict and the hop count.
+  struct Delivery {
+    bool delivered = false;
+    DropReason reason = DropReason::kNone;
+    std::uint32_t hops = 0;
+  };
+  /// evaluate() for send(), memoized per (source AS, source address,
+  /// destination) while the routing is frozen: forwarding then depends
+  /// only on this plane's hosts and filters, whose mutators clear the
+  /// memo. A mutable routing is evaluated afresh on every packet.
+  Delivery deliver(Asn from_as, const net::Packet& packet);
+
   bgp::RoutingSystem& routing_;
   Simulator sim_;
   std::uint64_t seed_;
@@ -175,6 +187,21 @@ class DataPlane {
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_delivered_ = 0;
   std::unordered_map<int, std::uint64_t> drops_;
+  struct Flow {
+    Asn from_as;
+    std::uint32_t source;
+    std::uint32_t destination;
+    bool operator==(const Flow&) const = default;
+  };
+  struct FlowHash {
+    std::size_t operator()(const Flow& f) const noexcept {
+      std::uint64_t h = (std::uint64_t{f.source} << 32 | f.destination) *
+                        0x9e3779b97f4a7c15ull;
+      h ^= (h >> 29) + f.from_as;
+      return static_cast<std::size_t>(h * 0xbf58476d1ce4e5b9ull);
+    }
+  };
+  std::unordered_map<Flow, Delivery, FlowHash> deliveries_;
 };
 
 }  // namespace rovista::dataplane

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace rovista::dataplane {
@@ -59,7 +58,13 @@ class Simulator {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Remove and return the earliest event (queue_ must not be empty).
+  Event pop_next();
+
+  // A binary min-heap under Later (std::push_heap / std::pop_heap), not a
+  // std::priority_queue: its top() is const, so popping would copy each
+  // event's callable — and with it any packet it captured.
+  std::vector<Event> queue_;
   TimeUs now_ = 0;
   std::uint64_t next_seq_ = 0;
 };

@@ -552,7 +552,8 @@ RoundReport IncrementalLongitudinalRunner::run_round(Date date) {
     }
   }
 
-  const bool cache_usable = cache_.matches(vvps_, tnodes_);
+  const bool cache_usable =
+      cache_.matches(vvps_, tnodes_) || cache_.recall(vvps_, tnodes_);
   if (!cache_usable) {
     cache_.reset(vvps_, tnodes_);
     report.matrix_reset = true;

@@ -11,7 +11,13 @@
 // unit, see DESIGN.md) can be skipped.
 //
 // Matrix identity is strict: any change to the vVP or tNode lists shifts
-// canonical slots, so the cache resets rather than guess.
+// canonical slots, so the cache resets rather than guess. The matrix a
+// reset replaces is kept as the previous one, and a round whose lists
+// are exactly the previous matrix's takes it back: discovery lists that
+// flap (a tNode leaves for a round and comes back) then re-run only the
+// rows whose fingerprints moved, not the whole matrix. Only the current
+// matrix is checkpointed; a resumed run without the previous one
+// re-executes those rows and measures the same observations.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +43,14 @@ class ScoreCache {
   bool matches(std::span<const scan::Vvp> vvps,
                std::span<const scan::Tnode> tnodes) const;
 
-  /// Reset to an empty cache shaped for this matrix.
+  /// Make the previous matrix current if it describes exactly this
+  /// (vVP, tNode) matrix, keeping the current one as the previous.
+  /// Returns false, changing nothing, otherwise.
+  bool recall(std::span<const scan::Vvp> vvps,
+              std::span<const scan::Tnode> tnodes);
+
+  /// Reset to an empty cache shaped for this matrix; the current matrix
+  /// becomes the previous one.
   void reset(std::span<const scan::Vvp> vvps,
              std::span<const scan::Tnode> tnodes);
 
@@ -48,34 +61,46 @@ class ScoreCache {
   void store(std::size_t v, std::size_t t, std::uint64_t fingerprint,
              const core::PairObservation& observation);
 
-  std::size_t vvp_count() const noexcept { return vvp_addrs_.size(); }
-  std::size_t tnode_count() const noexcept { return tnode_addrs_.size(); }
+  std::size_t vvp_count() const noexcept { return current_.vvp_addrs.size(); }
+  std::size_t tnode_count() const noexcept {
+    return current_.tnode_addrs.size();
+  }
   std::size_t entries() const noexcept;
 
   void clear();
 
-  // Serialization support (src/persist checkpoints, docs/FORMATS.md).
+  // Serialization support (src/persist checkpoints, docs/FORMATS.md):
+  // the current matrix only.
   std::span<const std::uint32_t> vvp_addrs() const noexcept {
-    return vvp_addrs_;
+    return current_.vvp_addrs;
   }
   std::span<const std::uint32_t> tnode_addrs() const noexcept {
-    return tnode_addrs_;
+    return current_.tnode_addrs;
   }
   const std::vector<std::optional<CacheEntry>>& raw_entries() const noexcept {
-    return entries_;
+    return current_.entries;
   }
 
-  /// Adopt a deserialized image. Returns false — leaving the cache
-  /// cleared, which is always sound (everything recomputes) — when the
-  /// entry matrix does not match the address lists' shape.
+  /// Adopt a deserialized image as the current matrix, with no previous
+  /// one. Returns false — leaving the cache cleared, which is always
+  /// sound (everything recomputes) — when the entry matrix does not
+  /// match the address lists' shape.
   bool restore(std::vector<std::uint32_t> vvp_addrs,
                std::vector<std::uint32_t> tnode_addrs,
                std::vector<std::optional<CacheEntry>> entries);
 
  private:
-  std::vector<std::uint32_t> vvp_addrs_;
-  std::vector<std::uint32_t> tnode_addrs_;
-  std::vector<std::optional<CacheEntry>> entries_;  // v * T + t
+  struct Matrix {
+    std::vector<std::uint32_t> vvp_addrs;
+    std::vector<std::uint32_t> tnode_addrs;
+    std::vector<std::optional<CacheEntry>> entries;  // v * T + t
+
+    bool describes(std::span<const scan::Vvp> vvps,
+                   std::span<const scan::Tnode> tnodes) const;
+  };
+
+  Matrix current_;
+  Matrix previous_;
 };
 
 }  // namespace rovista::incremental

@@ -14,9 +14,14 @@ namespace {
 constexpr double kBigPenalty = 1e18;
 
 // Conditional sum of squares for parameters packed as
-// [c, phi_1..phi_p, theta_1..theta_q].
+// [c, phi_1..phi_p, theta_1..theta_q]. `e` is the innovations buffer,
+// x.size() long and zero on entry to the first call; it need not be
+// cleared between calls, because every entry past `start` is written
+// before it is read and the ones up to `start` are never written. A sum
+// of non-negative terms that is ever infinite or NaN stays so, so it is
+// checked once, at the end.
 double css_objective(const std::vector<double>& params, int p, int q,
-                     const std::vector<double>& x) {
+                     const std::vector<double>& x, std::vector<double>& e) {
   const int start = std::max(p, 1) - 1;  // first index with full AR history
   const double c = params[0];
 
@@ -27,7 +32,6 @@ double css_objective(const std::vector<double>& params, int p, int q,
   for (int j = 0; j < q; ++j) theta_abs += std::abs(params[1 + p + j]);
   if (phi_abs > 2.0 || theta_abs > 2.0) return kBigPenalty;
 
-  std::vector<double> e(x.size(), 0.0);
   double css = 0.0;
   for (std::size_t t = static_cast<std::size_t>(start) + 1; t < x.size();
        ++t) {
@@ -44,9 +48,8 @@ double css_objective(const std::vector<double>& params, int p, int q,
     }
     e[t] = x[t] - pred;
     css += e[t] * e[t];
-    if (!std::isfinite(css)) return kBigPenalty;
   }
-  return css;
+  return std::isfinite(css) ? css : kBigPenalty;
 }
 
 // Yule–Walker AR(p) estimate used to seed the optimizer.
@@ -143,14 +146,15 @@ std::optional<ArmaModel> fit_arma(const std::vector<double>& x, int p, int q) {
   }
   params[0] = m * (1.0 - phi_sum);
 
-  const auto objective = [&](const std::vector<double>& v) {
-    return css_objective(v, p, q, x);
-  };
-
   NelderMeadOptions opt;
   opt.max_iterations = 400;
   opt.initial_step = 0.2;
-  const NelderMeadResult nm = nelder_mead(objective, params, opt);
+  std::vector<double> innovations(x.size(), 0.0);
+  const NelderMeadResult nm = nelder_mead(
+      [&](const std::vector<double>& v) {
+        return css_objective(v, p, q, x, innovations);
+      },
+      params, opt);
   if (nm.fmin >= kBigPenalty) return std::nullopt;
 
   ArmaModel model;

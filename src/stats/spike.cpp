@@ -1,7 +1,9 @@
 #include "stats/spike.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "stats/adf.h"
 #include "stats/arima.h"
@@ -21,15 +23,27 @@ double spike_false_negative_rate(double s, double sigma,
 double spike_expected_fn_rate(double mu_s, double sd_s, double sigma,
                               double alpha) noexcept {
   if (sd_s <= 0.0) return spike_false_negative_rate(mu_s, sigma, alpha);
-  // Discretize the N(mu_s, sd_s^2) prior over ±4 sd with 33 nodes.
+  // Discretize the N(mu_s, sd_s^2) prior over ±4 sd with 33 nodes. The
+  // nodes, their weights and the critical value depend on nothing that
+  // varies per experiment, so they are computed once, not per node.
   constexpr int kNodes = 33;
+  static const auto nodes = [] {
+    std::array<std::pair<double, double>, kNodes> n{};  // (u, weight)
+    for (int i = 0; i < kNodes; ++i) {
+      const double u = -4.0 + 8.0 * static_cast<double>(i) /
+                                  static_cast<double>(kNodes - 1);
+      n[static_cast<std::size_t>(i)] = {u, normal_pdf(u)};
+    }
+    return n;
+  }();
+  const double t_alpha = upper_tail_critical(alpha);
   double acc = 0.0;
   double weight = 0.0;
-  for (int i = 0; i < kNodes; ++i) {
-    const double u = -4.0 + 8.0 * static_cast<double>(i) /
-                                static_cast<double>(kNodes - 1);
-    const double w = normal_pdf(u);
-    acc += w * spike_false_negative_rate(mu_s + sd_s * u, sigma, alpha);
+  for (const auto& [u, w] : nodes) {
+    // spike_false_negative_rate(mu_s + sd_s * u, sigma, alpha).
+    const double s = mu_s + sd_s * u;
+    acc += w * (sigma <= 0.0 ? (s > 0.0 ? 0.0 : 1.0)
+                             : normal_cdf(t_alpha - s / sigma));
     weight += w;
   }
   return acc / weight;

@@ -8,8 +8,10 @@
 // which is exactly what scenario::make_replica_factory produces.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "bgp/routing_system.h"
 #include "core/rovista.h"
 #include "scenario/scenario.h"
 
@@ -43,12 +45,17 @@ inline core::RovistaConfig round_config() {
 struct RoundInputs {
   std::vector<scan::Vvp> vvps;
   std::vector<scan::Tnode> tnodes;
+  // Prefixes the discovery world converged on the flat engine (see
+  // bgp::RoutingSystem::flat_certified_count).
+  std::uint64_t flat_certified = 0;
 };
 
-inline RoundInputs acquire_round_inputs(const scenario::ScenarioParams& params,
-                                        util::Date date,
-                                        const core::RovistaConfig& config) {
+inline RoundInputs acquire_round_inputs(
+    const scenario::ScenarioParams& params, util::Date date,
+    const core::RovistaConfig& config,
+    bgp::PropagationEngine engine = bgp::PropagationEngine::kFlat) {
   scenario::Scenario s(params);
+  s.routing().set_propagation_engine(engine);
   s.advance_to(date);
   scan::MeasurementClient client_a(s.plane(), s.client_as_a(),
                                    s.client_addr_a());
@@ -61,6 +68,7 @@ inline RoundInputs acquire_round_inputs(const scenario::ScenarioParams& params,
       snapshot, s.current_vrps(), s.rov_reference_ases(s.current(), 10),
       s.non_rov_reference_ases(s.current(), 10));
   inputs.vvps = rovista.acquire_vvps(s.vvp_candidates());
+  inputs.flat_certified = s.routing().flat_certified_count();
   return inputs;
 }
 

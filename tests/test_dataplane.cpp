@@ -476,6 +476,35 @@ TEST(DataPlane, RovAsHasNoRouteToInvalidPrefix) {
   EXPECT_EQ(r.reason, DropReason::kNoRoute);
 }
 
+// On frozen routing send() reuses each flow's forwarding verdict; a host
+// or filter added afterwards must still change what the next packet sees.
+TEST(DataPlane, FrozenRoutingSendSeesLaterHostsAndFilters) {
+  PlaneFixture fx;
+  fx.routing->freeze();
+  Host* observer = fx.add_host(3, "10.3.0.1", {}, /*capture=*/true);
+  const auto syn = [&](std::uint16_t src_port) {
+    observer->send_raw(Packet::make_tcp(addr("10.3.0.1"), addr("10.2.0.1"),
+                                        src_port, 80, TcpFlags::kSyn, 0));
+    fx.plane->sim().run_until(fx.plane->sim().now() + microseconds(1.0));
+  };
+
+  syn(5001);
+  EXPECT_EQ(fx.plane->packets_dropped(DropReason::kNoHost), 1u);
+  EXPECT_TRUE(observer->captured().empty());
+
+  // A closed port answers with a RST, which leaves no retransmission
+  // behind to blur the next step.
+  fx.add_host(2, "10.2.0.1", {});
+  syn(5002);
+  ASSERT_EQ(observer->captured().size(), 1u);
+  EXPECT_TRUE(observer->captured()[0].second.is_rst());
+
+  fx.plane->set_filter(2, {.ingress_drop_external = true});
+  syn(5003);
+  EXPECT_EQ(fx.plane->packets_dropped(DropReason::kIngressFilter), 1u);
+  EXPECT_EQ(observer->captured().size(), 1u);
+}
+
 TEST(DataPlane, AddHostRejectsDuplicateAddress) {
   PlaneFixture fx;
   EXPECT_NE(fx.add_host(2, "10.2.0.1"), nullptr);

@@ -162,10 +162,19 @@ TEST(ExperimentEdge, ZeroBackgroundVvp) {
 
 // Sweep: verdicts stay correct across background rates within the
 // usable envelope, in both reachability regimes.
+//
+// ctest names each case after GoogleTest's byte dump of this struct, so
+// it carries no padding: `name_tag` fills the bytes after `filtered`
+// explicitly. Left as padding they would be uninitialised and every
+// build would discover the cases under new names. The tag values only
+// keep the names the cases were first discovered under; the test never
+// reads them.
 struct SweepParam {
   double rate;
   bool filtered;
+  unsigned char name_tag[7];
 };
+static_assert(sizeof(SweepParam) == 16, "SweepParam must have no padding");
 
 class ExperimentSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -196,9 +205,11 @@ TEST_P(ExperimentSweep, VerdictMatchesRegime) {
 
 INSTANTIATE_TEST_SUITE_P(
     Rates, ExperimentSweep,
-    ::testing::Values(SweepParam{0.5, false}, SweepParam{0.5, true},
-                      SweepParam{2.0, false}, SweepParam{2.0, true},
-                      SweepParam{5.0, false}, SweepParam{5.0, true},
-                      SweepParam{8.0, false}, SweepParam{8.0, true}));
+    ::testing::Values(SweepParam{0.5, false, {0x00, 0x04}},
+                      SweepParam{0.5, true, {0xFF, 0x70}},
+                      SweepParam{2.0, false, {}}, SweepParam{2.0, true, {}},
+                      SweepParam{5.0, false, {0x00, 0x04}},
+                      SweepParam{5.0, true, {0xDA, 0x55}},
+                      SweepParam{8.0, false, {}}, SweepParam{8.0, true, {}}));
 
 }  // namespace

@@ -6,7 +6,8 @@
 // flat engine certifies (and the flat engine *must* certify on cycle-
 // free worlds — the flat_certified_count() assertions keep these tests
 // from passing vacuously through silent fallback). Alongside the
-// equivalence axis: tie-break pins for each comparator level, rank
+// equivalence axis: the pin that a default-built world converges every
+// prefix on the flat engine, tie-break pins for each comparator level, rank
 // invariants of the flattened graph, the refusal path on customer-
 // provider cycles, arena epoch-reuse determinism, and the BatchedLpm
 // vs PrefixTrie oracle.
@@ -20,6 +21,7 @@
 #include "bgp/routing_system.h"
 #include "net/batched_lpm.h"
 #include "net/prefix_trie.h"
+#include "round_fixture.h"
 #include "rpki/validation.h"
 #include "scenario/scenario.h"
 #include "topology/as_graph.h"
@@ -144,6 +146,47 @@ TEST(FlatEquivalence, FaultDegradedWorld) {
   params.faults.rp_divergence_fraction = 0.25;
   expect_scenario_equivalence(
       params, {params.start + 90, params.start + 150});
+}
+
+// -- Production engine -------------------------------------------------
+//
+// A world built with no engine selection must converge every announced
+// prefix on the flat engine: certified once per prefix, never handed
+// back to the fixed point. Stops a silent fallback (or a size threshold)
+// from posing as the fast path.
+
+void expect_default_engine_certifies_every_prefix(
+    const scenario::ScenarioParams& params, util::Date date) {
+  scenario::Scenario s(params);
+  s.advance_to(date);
+  bgp::RoutingSystem& rs = s.routing();
+  EXPECT_EQ(rs.propagation_engine(), PropagationEngine::kFlat);
+
+  rs.invalidate_all();
+  const std::uint64_t certified_before = rs.flat_certified_count();
+  const std::vector<Ipv4Prefix> prefixes = rs.all_prefixes();
+  ASSERT_FALSE(prefixes.empty());
+  for (const Ipv4Prefix& prefix : prefixes) rs.routes_for(prefix);
+
+  EXPECT_EQ(rs.flat_fallback_count(), 0u);
+  EXPECT_EQ(rs.flat_certified_count() - certified_before, prefixes.size());
+}
+
+TEST(FlatProduction, RoundFixtureWorldRunsFlat) {
+  const scenario::ScenarioParams params = testfx::round_params();
+  expect_default_engine_certifies_every_prefix(params,
+                                               testfx::round_date(params));
+}
+
+TEST(FlatProduction, GeneratedTieredWorldRunsFlat) {
+  scenario::ScenarioParams params;
+  params.seed = 7;
+  params.topology.tier1_count = 3;
+  params.topology.tier2_count = 15;
+  params.topology.tier3_count = 75;
+  params.topology.stub_count = 500;
+  params.measured_as_count = 60;
+  expect_default_engine_certifies_every_prefix(params, params.start + 150);
 }
 
 // -- Tie-break pins ----------------------------------------------------

@@ -44,6 +44,51 @@ std::string render_scores(const std::vector<core::AsScore>& scores) {
   return out;
 }
 
+std::string golden_path() {
+  return std::string(ROVISTA_TEST_DATA_DIR) + "/golden_round_scores.csv";
+}
+
+std::string read_golden() {
+  const std::string path = golden_path();
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "missing golden file " << path
+                  << " — run with ROVISTA_REGEN_GOLDEN=1 to create it";
+  std::stringstream want;
+  want << in.rdbuf();
+  return want.str();
+}
+
+// Wraps a production replica and, when the replica dies, adds how many
+// prefixes its routing certified on the flat engine (for an epoch
+// reader: the shared epoch's routing, whose clone carries the
+// publisher's counts) — proof the default path really ran flat.
+class CountingReplica final : public core::MeasurementReplica {
+ public:
+  CountingReplica(std::unique_ptr<core::MeasurementReplica> inner,
+                  std::shared_ptr<std::atomic<std::uint64_t>> certified)
+      : inner_(std::move(inner)), certified_(std::move(certified)) {}
+
+  ~CountingReplica() override {
+    *certified_ += inner_->plane().routing().flat_certified_count();
+  }
+
+  dataplane::DataPlane& plane() override { return inner_->plane(); }
+  scan::MeasurementClient& client() override { return inner_->client(); }
+
+ private:
+  std::unique_ptr<core::MeasurementReplica> inner_;
+  std::shared_ptr<std::atomic<std::uint64_t>> certified_;
+};
+
+core::ReplicaFactory counting(
+    core::ReplicaFactory inner,
+    std::shared_ptr<std::atomic<std::uint64_t>> certified) {
+  return [inner = std::move(inner), certified = std::move(certified)] {
+    return std::unique_ptr<core::MeasurementReplica>(
+        std::make_unique<CountingReplica>(inner(), certified));
+  };
+}
+
 TEST(GoldenRound, ScoresMatchCheckedInGolden) {
   const scenario::ScenarioParams params = testfx::round_params();
   const util::Date date = testfx::round_date(params);
@@ -52,33 +97,31 @@ TEST(GoldenRound, ScoresMatchCheckedInGolden) {
       testfx::acquire_round_inputs(params, date, config);
   ASSERT_FALSE(inputs.vvps.empty());
   ASSERT_FALSE(inputs.tnodes.empty());
+  EXPECT_GT(inputs.flat_certified, 0u);
 
+  const auto certified = std::make_shared<std::atomic<std::uint64_t>>(0);
   core::ParallelRoundConfig round_config;
   round_config.experiment = config.experiment;
   round_config.scoring = config.scoring;
   round_config.num_threads = 0;  // serial reference engine
   const core::ParallelRoundRunner runner(
-      scenario::make_replica_factory(params, date), round_config);
+      counting(scenario::make_replica_factory(params, date), certified),
+      round_config);
   const core::MeasurementRound round =
       runner.run(inputs.vvps, inputs.tnodes);
   ASSERT_FALSE(round.scores.empty());
+  EXPECT_GT(certified->load(), 0u);
   const std::string got = render_scores(round.scores);
 
-  const std::string path =
-      std::string(ROVISTA_TEST_DATA_DIR) + "/golden_round_scores.csv";
   if (std::getenv("ROVISTA_REGEN_GOLDEN") != nullptr) {
+    const std::string path = golden_path();
     std::ofstream out(path);
     ASSERT_TRUE(out) << "cannot write " << path;
     out << got;
     GTEST_SKIP() << "regenerated " << path;
   }
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — run with ROVISTA_REGEN_GOLDEN=1 to create it";
-  std::stringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(want.str(), got)
+  EXPECT_EQ(read_golden(), got)
       << "measurement verdicts changed; if intentional, regenerate with "
          "ROVISTA_REGEN_GOLDEN=1 and explain the change in the commit";
 }
@@ -97,43 +140,41 @@ TEST(GoldenRound, SnapshotEngineMatchesSameGolden) {
   round_config.experiment = config.experiment;
   round_config.scoring = config.scoring;
   round_config.num_threads = 4;
+  const auto certified = std::make_shared<std::atomic<std::uint64_t>>(0);
   const core::ParallelRoundRunner runner(
-      snapshot::make_measurement_factory(params, date,
-                                         snapshot::EngineMode::kSnapshot),
+      counting(snapshot::make_measurement_factory(
+                   params, date, snapshot::EngineMode::kSnapshot),
+               certified),
       round_config);
   const core::MeasurementRound round =
       runner.run(inputs.vvps, inputs.tnodes);
   ASSERT_FALSE(round.scores.empty());
-  const std::string got = render_scores(round.scores);
-
-  const std::string path =
-      std::string(ROVISTA_TEST_DATA_DIR) + "/golden_round_scores.csv";
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "missing golden file " << path;
-  std::stringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(want.str(), got)
+  EXPECT_GT(certified->load(), 0u);
+  EXPECT_EQ(read_golden(), render_scores(round.scores))
       << "snapshot engine diverged from the golden scores the replica "
          "engine produces";
 }
 
-// A ScenarioReplica-alike that forces the rank-flattened propagation
-// engine before any route is demanded, and reports how many prefixes
-// the flat path certified when it dies (proof the axis was not vacuous).
-class FlatReplica final : public core::MeasurementReplica {
+// A ScenarioReplica-alike that forces the Adj-RIB-In fixed point
+// before any route is demanded, and reports how many prefixes the flat
+// path certified when it dies (must be none: the reference may not
+// touch the engine it checks).
+class FixedPointReplica final : public core::MeasurementReplica {
  public:
-  FlatReplica(const scenario::ScenarioParams& params, util::Date date,
-              std::shared_ptr<std::atomic<std::uint64_t>> certified)
+  FixedPointReplica(const scenario::ScenarioParams& params, util::Date date,
+                    std::shared_ptr<std::atomic<std::uint64_t>> certified)
       : scenario_(params), certified_(std::move(certified)) {
-    scenario_.routing().set_propagation_engine(bgp::PropagationEngine::kFlat);
+    scenario_.routing().set_propagation_engine(
+        bgp::PropagationEngine::kFixedPoint);
     scenario_.advance_to(date);
+    // Both clients, A then B, as ScenarioReplica builds them.
     client_a_ = std::make_unique<scan::MeasurementClient>(
         scenario_.plane(), scenario_.client_as_a(), scenario_.client_addr_a());
     client_b_ = std::make_unique<scan::MeasurementClient>(
         scenario_.plane(), scenario_.client_as_b(), scenario_.client_addr_b());
   }
 
-  ~FlatReplica() override {
+  ~FixedPointReplica() override {
     *certified_ += scenario_.routing().flat_certified_count();
   }
 
@@ -147,35 +188,19 @@ class FlatReplica final : public core::MeasurementReplica {
   std::unique_ptr<scan::MeasurementClient> client_b_;
 };
 
-// Third axis: forcing the flat engine end to end — through discovery
-// AND measurement — must reproduce the same golden CSV bytes. With the
-// fixture's world below kFlatAutoThreshold, kAuto never exercises the
-// flat path here; forcing it pins the engines' equivalence at the
-// score level, not just the RouteMap level.
-TEST(GoldenRound, FlatEngineMatchesSameGolden) {
+// Reference axis: forcing the fixed point end to end — through
+// discovery AND measurement — must reproduce the same golden CSV bytes
+// the production (flat) engine does. This pins the engines'
+// equivalence at the score level, not just the RouteMap level.
+TEST(GoldenRound, FixedPointReferenceMatchesSameGolden) {
   const scenario::ScenarioParams params = testfx::round_params();
   const util::Date date = testfx::round_date(params);
   const core::RovistaConfig config = testfx::round_config();
-
-  // Discovery on a throwaway flat-forced world (mirrors
-  // testfx::acquire_round_inputs).
-  scenario::Scenario s(params);
-  s.routing().set_propagation_engine(bgp::PropagationEngine::kFlat);
-  s.advance_to(date);
-  scan::MeasurementClient client_a(s.plane(), s.client_as_a(),
-                                   s.client_addr_a());
-  scan::MeasurementClient client_b(s.plane(), s.client_as_b(),
-                                   s.client_addr_b());
-  core::Rovista rovista(s.plane(), client_a, client_b, config);
-  const auto snapshot = s.collector().snapshot(s.routing());
-  const std::vector<scan::Tnode> tnodes = rovista.acquire_tnodes(
-      snapshot, s.current_vrps(), s.rov_reference_ases(s.current(), 10),
-      s.non_rov_reference_ases(s.current(), 10));
-  const std::vector<scan::Vvp> vvps = rovista.acquire_vvps(s.vvp_candidates());
-  ASSERT_FALSE(vvps.empty());
-  ASSERT_FALSE(tnodes.empty());
-  EXPECT_GT(s.routing().flat_certified_count(), 0u);
-  EXPECT_EQ(s.routing().flat_fallback_count(), 0u);
+  const testfx::RoundInputs inputs = testfx::acquire_round_inputs(
+      params, date, config, bgp::PropagationEngine::kFixedPoint);
+  ASSERT_FALSE(inputs.vvps.empty());
+  ASSERT_FALSE(inputs.tnodes.empty());
+  EXPECT_EQ(inputs.flat_certified, 0u);
 
   const auto certified = std::make_shared<std::atomic<std::uint64_t>>(0);
   core::ParallelRoundConfig round_config;
@@ -185,23 +210,16 @@ TEST(GoldenRound, FlatEngineMatchesSameGolden) {
   const core::ParallelRoundRunner runner(
       [params, date, certified] {
         return std::unique_ptr<core::MeasurementReplica>(
-            std::make_unique<FlatReplica>(params, date, certified));
+            std::make_unique<FixedPointReplica>(params, date, certified));
       },
       round_config);
-  const core::MeasurementRound round = runner.run(vvps, tnodes);
+  const core::MeasurementRound round =
+      runner.run(inputs.vvps, inputs.tnodes);
   ASSERT_FALSE(round.scores.empty());
-  const std::string got = render_scores(round.scores);
-
-  const std::string path =
-      std::string(ROVISTA_TEST_DATA_DIR) + "/golden_round_scores.csv";
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "missing golden file " << path;
-  std::stringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(want.str(), got)
-      << "flat propagation engine diverged from the golden scores the "
-         "fixed-point engine produces";
-  EXPECT_GT(certified->load(), 0u);
+  EXPECT_EQ(read_golden(), render_scores(round.scores))
+      << "fixed-point reference engine diverged from the golden scores "
+         "the flat engine produces";
+  EXPECT_EQ(certified->load(), 0u);
 }
 
 }  // namespace

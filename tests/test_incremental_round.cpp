@@ -547,6 +547,49 @@ TEST(EngineEquivalence, CheckpointCrossesEngines) {
   std::filesystem::remove_all(res_dir);
 }
 
+// A discovery list that flaps back to the one two rounds ago takes that
+// matrix back from the score cache instead of re-running every row.
+// This 593-AS world's tNode list changes at the second date and returns
+// at the third; every round must still equal a full recompute.
+TEST(FlappingLayoutIncrementalRound, RecalledMatrixMatchesFullRecompute) {
+  core::IncrementalConfig config;
+  config.params.seed = 585253468;
+  config.params.topology.tier1_count = 3;
+  config.params.topology.tier2_count = 15;
+  config.params.topology.tier3_count = 75;
+  config.params.topology.stub_count = 500;
+  config.params.measured_as_count = 60;
+  config.rovista = testfx::round_config();
+  config.rovista.num_threads = 2;
+  const std::vector<util::Date> dates = {config.params.start + 180,
+                                         config.params.start + 210,
+                                         config.params.start + 240};
+
+  core::IncrementalConfig full_config = config;
+  full_config.incremental = false;
+  core::IncrementalLongitudinalRunner full(full_config);
+  core::IncrementalLongitudinalRunner runner(config);
+  std::vector<std::vector<std::uint32_t>> tnode_lists;
+  std::vector<core::RoundReport> reports;
+  for (const util::Date date : dates) {
+    const core::RoundReport expected = full.run_round(date);
+    reports.push_back(runner.run_round(date));
+    expect_bit_identical(expected.round, reports.back().round,
+                         date.to_string().c_str());
+    tnode_lists.emplace_back();
+    for (const scan::Tnode& t : runner.tnodes()) {
+      tnode_lists.back().push_back(t.address.value());
+    }
+  }
+
+  // The layouts flap: A, B, A.
+  ASSERT_NE(tnode_lists[0], tnode_lists[1]);
+  ASSERT_EQ(tnode_lists[0], tnode_lists[2]);
+  EXPECT_TRUE(reports[1].matrix_reset);
+  EXPECT_FALSE(reports[2].matrix_reset);
+  EXPECT_LT(reports[2].executed_pairs, reports[2].total_pairs);
+}
+
 TEST_F(IncrementalRound, RepeatedDateReusesEverything) {
   core::IncrementalLongitudinalRunner runner(
       engine_config(/*incremental=*/true, /*num_threads=*/2));

@@ -145,23 +145,6 @@ bool parse_topology(const Args& args, scenario::ScenarioParams& params) {
   return false;
 }
 
-/// --propagation auto|fixed-point|flat (default auto): which route
-/// propagation engine the discovery world uses (bgp/routing_system.h).
-/// Outputs are engine-invariant — the flat engine is certified
-/// bit-identical per prefix or falls back — so this is a performance
-/// and diagnostics knob, like --engine.
-std::optional<bgp::PropagationEngine> parse_propagation(const Args& args) {
-  const char* v = args.get("propagation", "auto");
-  if (std::strcmp(v, "auto") == 0) return bgp::PropagationEngine::kAuto;
-  if (std::strcmp(v, "fixed-point") == 0) {
-    return bgp::PropagationEngine::kFixedPoint;
-  }
-  if (std::strcmp(v, "flat") == 0) return bgp::PropagationEngine::kFlat;
-  std::fprintf(stderr,
-               "error: --propagation must be auto, fixed-point or flat\n");
-  return std::nullopt;
-}
-
 int usage() {
   std::fprintf(
       stderr,
@@ -169,7 +152,6 @@ int usage() {
       "  measure --seed N --date YYYY-MM-DD --out DIR [--mrt FILE]\n"
       "          [--threads N] [--engine snapshot|replica]\n"
       "          [--topology caida:FILE|synthetic:FACTOR]\n"
-      "          [--propagation auto|fixed-point|flat]\n"
       "          run one round, publish scores, optionally archive the\n"
       "          collector table as an MRT TABLE_DUMP_V2 file;\n"
       "          --threads shards the round by vVP across worker\n"
@@ -181,10 +163,7 @@ int usage() {
       "          serial-2 as-rel file (docs/FORMATS.md section 4) or a\n"
       "          scaled synthetic world (FACTOR 1..64 multiplies transit\n"
       "          and stub counts; measure worlds cap at ~32.5k ASes —\n"
-      "          factor <= 6 on default tiers); --propagation picks the\n"
-      "          route engine\n"
-      "          (auto switches to the rank-flattened engine at 8192+\n"
-      "          ASes; scores are engine-invariant, see DESIGN.md)\n"
+      "          factor <= 6 on default tiers)\n"
       "  query   --dir DIR [--asn N]                    read a dataset\n"
       "  audit   --seed N --asn N [--date YYYY-MM-DD]   audit one AS\n"
       "  longitudinal --seed N --rounds N [--interval-days N]\n"
@@ -277,13 +256,10 @@ struct MeasuredWorld {
 };
 
 MeasuredWorld build_world(scenario::ScenarioParams params, util::Date date,
-                          int num_threads = 0,
-                          bgp::PropagationEngine propagation =
-                              bgp::PropagationEngine::kAuto) {
+                          int num_threads = 0) {
   MeasuredWorld world;
   world.params = params;
   world.scenario = std::make_unique<scenario::Scenario>(std::move(params));
-  world.scenario->routing().set_propagation_engine(propagation);
   if (date < world.scenario->start()) date = world.scenario->start();
   if (date > world.scenario->end()) date = world.scenario->end();
   world.scenario->advance_to(date);
@@ -319,9 +295,6 @@ int cmd_measure(const Args& args) {
   if (const char* t = args.get("threads")) util::parse_u64(t, threads);
   const std::optional<snapshot::EngineMode> engine = parse_engine(args);
   if (!engine.has_value()) return usage();
-  const std::optional<bgp::PropagationEngine> propagation =
-      parse_propagation(args);
-  if (!propagation.has_value()) return usage();
   scenario::ScenarioParams params;
   params.seed = seed;
   if (!parse_topology(args, params)) return usage();
@@ -329,7 +302,7 @@ int cmd_measure(const Args& args) {
   std::printf("building world (seed %llu) ...\n",
               static_cast<unsigned long long>(seed));
   MeasuredWorld world = build_world(std::move(params), date,
-                                    static_cast<int>(threads), *propagation);
+                                    static_cast<int>(threads));
   std::printf("ASes: %zu, tNodes: %zu\n", world.scenario->graph().size(),
               world.tnodes.size());
   const auto vvps =
